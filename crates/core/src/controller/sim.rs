@@ -17,12 +17,13 @@ use crate::ctx::{EvalContext, ScheduleKey};
 use crate::dse::worker_panic_error;
 use crate::error::HeraldError;
 use crate::fleet::{
-    distinct_workloads, service_estimates_with, AdmissionPolicy, ChipLoad, DispatchPolicy,
-    Dispatcher, DroppedFrame, FleetConfig, FleetReport, FrameAssignment, FrameView,
+    service_estimates_with, AdmissionPolicy, ChipLoad, DispatchPolicy, Dispatcher, DroppedFrame,
+    FleetConfig, FleetReport, FrameAssignment, FrameView,
 };
 use crate::sched::{HeraldScheduler, IncrementalScheduler, Scheduler, SchedulerConfig};
 use crate::sim::engine::{
-    reject_chained, validate_scenario, EventKind, MergedTrace, RoutedScenario,
+    intern_workloads, reject_chained, validate_scenario, EventKind, MergedTrace, RoutedScenario,
+    StreamWorkloads,
 };
 use crate::sim::{HotPathProfile, ReportMode, ReschedulePolicy, StreamReport, StreamSimulator};
 use crate::task::TaskGraph;
@@ -56,7 +57,7 @@ pub(crate) struct WalkParams {
 /// whole structure stays bit-deterministic.
 pub(crate) struct Estimator {
     pub(crate) graphs: Vec<TaskGraph>,
-    widx: Vec<Vec<usize>>,
+    ids: Vec<StreamWorkloads>,
     ctx: EvalContext,
     scheduler: IncrementalScheduler,
     #[allow(clippy::type_complexity)]
@@ -65,13 +66,13 @@ pub(crate) struct Estimator {
 
 impl Estimator {
     pub(crate) fn new(scenario: &Scenario, cfg: SchedulerConfig) -> Self {
-        let (distinct, widx) = distinct_workloads(scenario);
+        let (distinct, ids) = intern_workloads(scenario.streams(), scenario.horizon_s());
         let graphs = distinct.iter().map(|w| TaskGraph::new(w)).collect();
         let ctx = EvalContext::new();
         let scheduler = IncrementalScheduler::new(HeraldScheduler::new(cfg), ctx.clone());
         Self {
             graphs,
-            widx,
+            ids,
             ctx,
             scheduler,
             rows: RefCell::new(Vec::new()),
@@ -88,9 +89,10 @@ impl Estimator {
         rows.len() - 1
     }
 
-    /// Distinct-workload index of a stream's workload version.
+    /// Interned workload id of a stream's workload version (0 is the
+    /// initial workload, `1 + i` is swap `i`'s).
     pub(crate) fn workload_index(&self, stream: usize, version: usize) -> usize {
-        self.widx[stream][version]
+        self.ids[stream].version(version)
     }
 
     /// Estimated single-frame service time of distinct workload `widx`
@@ -606,8 +608,8 @@ pub(crate) fn simulate_controlled(
             &mut epochs,
         )?;
         let seq = match event.kind {
-            EventKind::Swap { .. } => {
-                version[event.stream] += 1;
+            EventKind::Swap { swap_index } => {
+                version[event.stream] = 1 + swap_index;
                 continue;
             }
             EventKind::Arrival { seq } => seq,

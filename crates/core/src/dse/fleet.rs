@@ -655,8 +655,8 @@ impl FleetDseEngine {
         let mut last_finish = horizon;
         for event in trace {
             let _seq = match event.kind {
-                EventKind::Swap { .. } => {
-                    version[event.stream] += 1;
+                EventKind::Swap { swap_index } => {
+                    version[event.stream] = 1 + swap_index;
                     continue;
                 }
                 EventKind::Arrival { seq } => seq,

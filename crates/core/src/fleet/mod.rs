@@ -45,5 +45,5 @@ pub use dispatch::{
     RoundRobin,
 };
 pub use report::{DroppedFrame, FleetReport, FrameAssignment};
+pub(crate) use sim::service_estimates_with;
 pub use sim::FleetSimulator;
-pub(crate) use sim::{distinct_workloads, service_estimates_with};

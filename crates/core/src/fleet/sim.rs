@@ -33,11 +33,12 @@ use crate::fleet::dispatch::{AdmissionPolicy, DispatchPolicy, Dispatcher};
 use crate::fleet::report::FleetReport;
 use crate::fleet::FleetConfig;
 use crate::sched::SchedulerConfig;
+use crate::sim::engine::intern_workloads;
 use crate::sim::{HotPathProfile, ReportMode, ReschedulePolicy};
 use crate::task::TaskGraph;
 use herald_arch::AcceleratorConfig;
 use herald_cost::Metric;
-use herald_workloads::{MultiDnnWorkload, Scenario};
+use herald_workloads::Scenario;
 
 /// Simulates a [`FleetConfig`] serving a [`Scenario`] under a dispatch
 /// policy (see the [`crate::fleet`] module docs).
@@ -215,63 +216,21 @@ impl<'a> FleetSimulator<'a> {
     }
 }
 
-/// The one workload-deduplication rule every estimate surface shares:
-/// per stream, the workload versions are the initial workload plus one
-/// entry per swap inside the horizon (the same filter the single-chip
-/// engine applies to swap events); structurally equal workloads collapse
-/// to a single distinct entry. Returns the distinct workloads and, per
-/// `[stream][version]`, the index into them.
-pub(crate) fn distinct_workloads(scenario: &Scenario) -> (Vec<&MultiDnnWorkload>, Vec<Vec<usize>>) {
-    let horizon = scenario.horizon_s();
-    let mut distinct: Vec<&MultiDnnWorkload> = Vec::new();
-    let workload_index: Vec<Vec<usize>> = scenario
-        .streams()
-        .iter()
-        .map(|s| {
-            let mut versions = vec![s.workload()];
-            versions.extend(
-                s.swaps()
-                    .iter()
-                    .filter(|sw| sw.at_s < horizon)
-                    .map(|sw| &sw.workload),
-            );
-            versions
-                .into_iter()
-                // `same_structure` is the shared-`Arc` fast path of
-                // `==`: a million tenants instantiated from one cloned
-                // workload dedupe by pointer identity, not by deep
-                // model comparison.
-                .map(
-                    |w| match distinct.iter().position(|d| d.same_structure(w)) {
-                        Some(i) => i,
-                        None => {
-                            distinct.push(w);
-                            distinct.len() - 1
-                        }
-                    },
-                )
-                .collect()
-        })
-        .collect();
-    (distinct, workload_index)
-}
-
 /// Estimated single-frame service time of every (stream, workload
-/// version) on every chip, indexed `[stream][version][chip]` — the one
-/// deduplication rule shared by the fleet simulator's dispatch walk and
-/// the fleet-DSE screening surrogate, so the two can never drift apart
-/// structurally. Versions are the stream's initial workload plus one
-/// entry per swap inside the horizon (the same filter the single-chip
-/// engine applies to swap events). Identical chips and structurally
-/// equal workloads (e.g. tenants of the same model) share a single call
-/// to `estimate`, which maps one (task graph, chip) pair to its
-/// single-frame latency.
+/// version) on every chip, indexed `[stream][version][chip]` — shared by
+/// the fleet simulator's dispatch walk and the fleet-DSE screening
+/// surrogate, so the two can never drift apart structurally. Version 0
+/// is the stream's initial workload and version `1 + i` is swap `i`'s
+/// (by swap index, as [`crate::sim::engine::intern_workloads`] keys
+/// them). Identical chips and interned-equal workloads (e.g. tenants of
+/// the same model) share a single call to `estimate`, which maps one
+/// (task graph, chip) pair to its single-frame latency.
 pub(crate) fn service_estimates_with(
     scenario: &Scenario,
     chips: &[AcceleratorConfig],
     mut estimate: impl FnMut(&TaskGraph, &AcceleratorConfig) -> Result<f64, HeraldError>,
 ) -> Result<Vec<Vec<Vec<f64>>>, HeraldError> {
-    let (distinct, workload_index) = distinct_workloads(scenario);
+    let (distinct, ids) = intern_workloads(scenario.streams(), scenario.horizon_s());
     let chip_canon: Vec<usize> = chips
         .iter()
         .enumerate()
@@ -290,9 +249,13 @@ pub(crate) fn service_estimates_with(
         }
         rows.push(per_chip);
     }
-    Ok(workload_index
-        .into_iter()
-        .map(|stream_rows| stream_rows.into_iter().map(|d| rows[d].clone()).collect())
+    Ok(ids
+        .iter()
+        .map(|s| {
+            (0..=s.swaps.len())
+                .map(|v| rows[s.version(v)].clone())
+                .collect()
+        })
         .collect())
 }
 

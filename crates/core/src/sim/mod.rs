@@ -13,11 +13,11 @@
 //! * [`StreamSimulator`] — consumes a [`herald_workloads::Scenario`]
 //!   (arrival processes, per-stream deadlines, mid-stream workload
 //!   swaps), making an online scheduling decision at frame arrivals and
-//!   workload-change events. Decisions are incremental by default: each
-//!   stream's compiled schedule is dirty-tracked and reused until a
-//!   workload swap invalidates it (see [`ReschedulePolicy`]), which is
-//!   bit-identical to full rescheduling because the scheduler is a pure
-//!   function of its inputs;
+//!   workload-change events. Decisions are incremental by default: one
+//!   schedule is compiled per distinct workload, engine-wide, and reused
+//!   by every arrival of every stream running it (see
+//!   [`ReschedulePolicy`]), which is bit-identical to full rescheduling
+//!   because the scheduler is a pure function of its inputs;
 //! * [`StreamReport`] — streaming metrics: throughput, p50/p95/p99 frame
 //!   latency, deadline-miss rate (globally, per stream, and per time
 //!   window), and per-accelerator utilization over time.

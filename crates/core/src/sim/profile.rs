@@ -104,11 +104,12 @@ pub struct HotPathProfile {
     pub fingerprint_hits: u64,
     /// Fingerprint collisions caught by structural verification.
     pub fingerprint_collisions: u64,
-    /// Stream graphs whose structural fingerprint was precomputed at
-    /// init (the "precalculated" memo tier).
+    /// Distinct workload graphs whose structural fingerprint was
+    /// precomputed at init (the "precalculated" memo tier).
     pub precomputed_graph_fingerprints: u64,
-    /// Per-(graph, schedule) cost tables built (each is then shared by
-    /// every frame compiled to that schedule).
+    /// Per-(graph, schedule) cost tables built — one per compile into
+    /// the engine-wide schedule table, shared by every frame admitted
+    /// against that schedule.
     pub cost_tables_built: u64,
     /// Total entries across built cost tables (= cost-model queries the
     /// commit loop no longer makes per candidate scan).

@@ -646,8 +646,8 @@ impl StreamReport {
 
     /// How many times the online scheduler actually compiled a schedule
     /// from scratch during this simulation. Under the default
-    /// incremental policy this is at most once per distinct (stream,
-    /// workload version) pair — fewer when a shared
+    /// incremental policy this is at most once per distinct workload,
+    /// engine-wide — fewer when a shared
     /// [`crate::ctx::EvalContext`] memo from an earlier run serves a
     /// compile (those count as [`StreamReport::schedule_cache_hits`]);
     /// under [`crate::sim::ReschedulePolicy::FullReschedule`] it is once
@@ -659,7 +659,7 @@ impl StreamReport {
     }
 
     /// Online scheduling decisions served from a cache instead of a
-    /// fresh compile: the stream's dirty-tracked schedule, or a shared
+    /// fresh compile: the engine-wide schedule table, or a shared
     /// context's cross-call schedule memo.
     #[must_use]
     pub fn schedule_cache_hits(&self) -> usize {

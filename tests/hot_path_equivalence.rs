@@ -13,6 +13,9 @@
 //!   in windows of 1 (the historical event-at-a-time walk), 7 (an
 //!   awkward prime), and the default 32 must produce identical reports
 //!   under both [`ReschedulePolicy`] variants.
+//! * **One cost table per distinct workload**: the engine-wide schedule
+//!   table compiles each workload once, however many streams, swaps and
+//!   decode tokens share it, on one chip and per chip of a fleet.
 
 use herald::core::sched::IncrementalScheduler;
 use herald::core::sim::{StreamReport, StreamSimulator, DEFAULT_ADMISSION_BATCH};
@@ -143,4 +146,72 @@ fn batched_admission_is_bit_identical_to_per_event() {
             );
         }
     }
+}
+
+/// Five streams cloning two shared workloads — one of them swapping to
+/// the workload two others already run — plus, when `chained`, one
+/// decode session whose four tokens span two KV buckets.
+fn shared_workloads_scenario(chained: bool) -> (Scenario, Vec<MultiDnnWorkload>) {
+    let single = |m| herald::workloads::single_model(m, 1);
+    let a = single(herald::models::zoo::mobilenet_v1());
+    let b = single(herald::models::zoo::mobilenet_v2());
+    let mut scenario = Scenario::new("shared", 0.2)
+        .stream(StreamSpec::periodic("a0", a.clone(), 20.0))
+        .stream(StreamSpec::periodic("a1", a.clone(), 25.0))
+        .stream(StreamSpec::poisson("b0", b.clone(), 20.0, 3))
+        .stream(StreamSpec::periodic("b1", b.clone(), 15.0))
+        .stream(StreamSpec::periodic("swapper", a.clone(), 30.0).swap_at(0.1, b.clone()));
+    let mut workloads = vec![a, b];
+    if chained {
+        let kv64 = single(herald::models::zoo::transformer_decoder(64));
+        let kv128 = single(herald::models::zoo::transformer_decoder(128));
+        let tokens = vec![kv64.clone(), kv64.clone(), kv128.clone(), kv128.clone()];
+        scenario = scenario.stream(
+            StreamSpec::chained("decode", kv64.clone(), 0.0, 0.01, 4).with_token_workloads(tokens),
+        );
+        workloads.extend([kv64, kv128]);
+    }
+    (scenario, workloads)
+}
+
+#[test]
+fn each_distinct_workload_builds_one_cost_table() {
+    // The schedule table is engine-wide: however many streams, swaps
+    // and decode tokens share a workload, it is compiled — and its
+    // per-task cost table built — once.
+    let config = edge_maelstrom();
+    let (scenario, workloads) = shared_workloads_scenario(true);
+    let ctx = EvalContext::new();
+    let inc = IncrementalScheduler::new(HeraldScheduler::default(), ctx.clone());
+    let (report, profile) = StreamSimulator::new(&config, ctx.cost_model())
+        .with_context(&ctx)
+        .simulate_profiled(&inc, &scenario)
+        .unwrap();
+    let admitted: Vec<&MultiDnnWorkload> = workloads
+        .iter()
+        .filter(|w| report.frames().iter().any(|f| *f.workload == *w.name()))
+        .collect();
+    assert_eq!(admitted.len(), workloads.len(), "every workload ran");
+    assert_eq!(profile.cost_tables_built, admitted.len() as u64);
+    let tasks: usize = admitted
+        .iter()
+        .map(|w| herald::core::task::TaskGraph::new(w).len())
+        .sum();
+    assert_eq!(profile.cost_table_entries, tasks as u64);
+
+    // A 2-chip fleet (chained streams cannot be routed) builds at most
+    // one table per chip and distinct workload.
+    let (scenario, workloads) = shared_workloads_scenario(false);
+    let fleet = FleetConfig::homogeneous(&config, 2);
+    let (_, profile) = FleetSimulator::new(&fleet)
+        .with_dispatcher(DispatchPolicy::LeastLoaded)
+        .simulate_profiled(&scenario)
+        .unwrap();
+    assert!(
+        profile.cost_tables_built <= (fleet.len() * workloads.len()) as u64,
+        "{} cost tables for {} chips x {} workloads",
+        profile.cost_tables_built,
+        fleet.len(),
+        workloads.len()
+    );
 }

@@ -246,3 +246,58 @@ fn fleet_reports_are_bit_identical_across_repeated_runs() {
         }
     }
 }
+
+#[test]
+fn swap_list_order_does_not_change_the_fleet_report() {
+    // A deserialized scenario may list a stream's swaps out of time
+    // order (only the `swap_at` builder sorts). Dispatch and admission
+    // must still estimate each frame against the workload the engine
+    // actually runs: the swap that fired, not the next one in the list.
+    // On an NVDLA-style chip, MobileNetV1's depth-wise layers run far
+    // slower than ResNet50's dense convolutions.
+    let fast = single_model(herald::models::zoo::resnet50(), 1);
+    let slow = single_model(herald::models::zoo::mobilenet_v1(), 1);
+    let chip = AcceleratorConfig::fda(DataflowStyle::Nvdla, AcceleratorClass::Edge.resources());
+    let service = |w: &MultiDnnWorkload| {
+        HeraldScheduler::default()
+            .schedule_and_simulate(
+                &herald_core::task::TaskGraph::new(w),
+                &chip,
+                &CostModel::default(),
+            )
+            .unwrap()
+            .total_latency_s()
+    };
+    let (fast_s, slow_s) = (service(&fast), service(&slow));
+    assert!(slow_s > 4.0 * fast_s, "{slow_s} vs {fast_s}");
+    // Fast frames fit the deadline, slow ones never do: admission drops
+    // exactly the frames it believes run the slow workload.
+    let period = 2.0 * fast_s;
+    let scenario = Scenario::new("swap-order", 30.0 * period).stream(
+        StreamSpec::periodic("s", fast.clone(), 1.0 / period)
+            .with_deadline((fast_s * slow_s).sqrt())
+            .swap_at(10.0 * period, slow)
+            .swap_at(20.0 * period, fast),
+    );
+    let sorted_json = serde_json::to_string(&scenario).unwrap();
+    let swaps = scenario.streams()[0].swaps();
+    let forward = serde_json::to_string(swaps).unwrap();
+    let reversed: Vec<WorkloadSwap> = swaps.iter().rev().cloned().collect();
+    assert_eq!(sorted_json.matches(&forward).count(), 1);
+    let reversed_json = sorted_json.replace(&forward, &serde_json::to_string(&reversed).unwrap());
+    let sorted: Scenario = serde_json::from_str(&sorted_json).unwrap();
+    let unsorted: Scenario = serde_json::from_str(&reversed_json).unwrap();
+    assert_eq!(unsorted.streams()[0].swaps(), &reversed[..]);
+
+    let fleet = FleetConfig::homogeneous(&chip, 2);
+    let run = |scenario: &Scenario| {
+        FleetSimulator::new(&fleet)
+            .with_dispatcher(DispatchPolicy::DeadlineAware)
+            .with_admission(AdmissionPolicy::DeadlineSlack { slack: 1.0 })
+            .simulate(scenario)
+            .unwrap()
+    };
+    let a = run(&sorted);
+    assert!(!a.dropped().is_empty(), "slow frames must be dropped");
+    assert_eq!(a, run(&unsorted));
+}
