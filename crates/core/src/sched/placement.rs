@@ -224,6 +224,8 @@ pub fn construct_schedule(
     let mut acc_free = vec![0.0f64; ways];
     let mut tot_latency = vec![0.0f64; ways];
     let mut finish: Vec<Option<f64>> = vec![None; graph.len()];
+    // Committed (start, finish, occupancy) intervals not yet finished at
+    // `now`: the only ones a fit query at or after `now` can see.
     let mut intervals: Vec<(f64, f64, u64)> = Vec::with_capacity(graph.len());
     let mut assignment = vec![0usize; graph.len()];
     let mut order: Vec<Vec<TaskId>> = vec![Vec::new(); ways];
@@ -359,10 +361,9 @@ pub fn construct_schedule(
                 // every queue tail so the next sweep finds an idle
                 // accelerator (safety net — cannot recurse because an
                 // idle accelerator always accepts).
-                let next = finish
+                let next = intervals
                     .iter()
-                    .flatten()
-                    .copied()
+                    .map(|(_, f, _)| *f)
                     .filter(|f| *f > now + time_slack(now))
                     .fold(f64::INFINITY, f64::min);
                 if next.is_finite() {
@@ -370,6 +371,9 @@ pub fn construct_schedule(
                 } else {
                     now = strictly_after(acc_free.iter().copied().fold(now, f64::max));
                 }
+                // Every later query is made at or after `now`, so an
+                // interval finished by then never counts again.
+                intervals.retain(|(_, f, _)| *f > now);
             }
         }
     }

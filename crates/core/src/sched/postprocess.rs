@@ -7,7 +7,6 @@ use crate::sched::SchedulerConfig;
 use crate::task::{TaskGraph, TaskId};
 use herald_arch::AcceleratorConfig;
 use herald_cost::CostModel;
-use std::collections::HashMap;
 
 /// Runs the Fig. 9 post-processing pass over a schedule.
 ///
@@ -33,12 +32,12 @@ pub fn post_process(
     let Ok(baseline) = sim.simulate(&schedule) else {
         return schedule;
     };
-    // Index the baseline timeline once.
-    let mut start = HashMap::with_capacity(graph.len());
-    let mut finish = HashMap::with_capacity(graph.len());
+    // Index the baseline timeline once, by task id.
+    let mut start = vec![0.0; graph.len()];
+    let mut finish = vec![0.0; graph.len()];
     for e in baseline.entries() {
-        start.insert(e.task, e.start_s);
-        finish.insert(e.task, e.finish_s);
+        start[e.task.0] = e.start_s;
+        finish[e.task.0] = e.finish_s;
     }
 
     let mut order = schedule.order().to_vec();
@@ -46,8 +45,8 @@ pub fn post_process(
     for queue in order.iter_mut() {
         let mut i = 0usize;
         while i + 1 < queue.len() {
-            let finish_i = finish[&queue[i]];
-            let next_start = start[&queue[i + 1]];
+            let finish_i = finish[queue[i].0];
+            let next_start = start[queue[i + 1].0];
             if next_start <= finish_i + 1e-15 {
                 i += 1;
                 continue; // no idle gap to fill
@@ -59,7 +58,7 @@ pub fn post_process(
                 let deps_ok = graph
                     .deps(cand)
                     .iter()
-                    .all(|d| finish[d] <= finish_i + 1e-15);
+                    .all(|d| finish[d.0] <= finish_i + 1e-15);
                 if !deps_ok {
                     continue;
                 }

@@ -126,8 +126,9 @@ pub struct HotPathProfile {
     /// Wall-clock nanoseconds in the core's commit loop (zero unless
     /// profiled).
     pub run_ns: u64,
-    /// Wall-clock nanoseconds harvesting finished frames and pruning
-    /// memory intervals (zero unless profiled).
+    /// Wall-clock nanoseconds harvesting finished frames: extracting
+    /// their timelines and recycling their buffers (zero unless
+    /// profiled).
     pub harvest_ns: u64,
     /// Byte accounting of the run's retained O(frames) structures.
     pub mem: MemProfile,

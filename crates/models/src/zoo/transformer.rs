@@ -1,28 +1,5 @@
-//! A decoder-only transformer block stack at one autoregressive step.
-//!
-//! The zoo's 2021 set (Table I/II) has no attention workloads; this
-//! model opens that axis. It encodes **one token** of a GPT-style
-//! decoder as the GEMMs an analytical cost model sees, parameterized by
-//! the KV-cache length `kv_len` (how many past tokens the new token
-//! attends over). Per-block, with hidden size `H` and `L = kv_len`:
-//!
-//! | Layer | GEMM shape `(k, c, m)` | Role |
-//! |-------|------------------------|------|
-//! | `qkv`     | `(3H, H, 1)` | fused Q/K/V projection of the new token |
-//! | `score`   | `(L, H, 1)`  | attention scores `q . K^T` over the cache |
-//! | `context` | `(H, L, 1)`  | context `scores . V` over the cache |
-//! | `out`     | `(H, H, 1)`  | attention output projection |
-//! | `ffn_up`  | `(4H, H, 1)` | FFN expansion |
-//! | `ffn_down`| `(H, 4H, 1)` | FFN contraction |
-//!
-//! Only `score` and `context` depend on `L`, so per-token cost grows
-//! linearly in the KV length — exactly the autoregressive cost curve the
-//! decode-stream scenarios exercise. Every layer is stamped with
-//! `seq_position = kv_len` so two cache-length variants of the stack can
-//! never alias in a schedule memo even where their GEMM shapes coincide.
-//!
-//! Unlike the fixed Table I networks, this model is *parameterized* and
-//! therefore not part of [`super::all_models`].
+//! A decoder-only transformer block stack at one autoregressive step;
+//! see [`transformer_decoder`].
 
 use crate::{DnnModel, LayerDims, LayerOp, ModelBuilder};
 
@@ -34,7 +11,31 @@ pub const TRANSFORMER_HIDDEN: u32 = 1024;
 pub const TRANSFORMER_BLOCKS: usize = 4;
 
 /// One autoregressive decode step of a decoder-only transformer with a
-/// KV cache of `kv_len` past tokens (see the [module docs](self)).
+/// KV cache of `kv_len` past tokens.
+///
+/// The zoo's 2021 set (Table I/II) has no attention workloads; this
+/// model opens that axis. It encodes **one token** of a GPT-style
+/// decoder as the GEMMs an analytical cost model sees, parameterized by
+/// the KV-cache length `kv_len` (how many past tokens the new token
+/// attends over). Per-block, with hidden size `H` and `L = kv_len`:
+///
+/// | Layer | GEMM shape `(k, c, m)` | Role |
+/// |-------|------------------------|------|
+/// | `qkv`     | `(3H, H, 1)` | fused Q/K/V projection of the new token |
+/// | `score`   | `(L, H, 1)`  | attention scores `q . K^T` over the cache |
+/// | `context` | `(H, L, 1)`  | context `scores . V` over the cache |
+/// | `out`     | `(H, H, 1)`  | attention output projection |
+/// | `ffn_up`  | `(4H, H, 1)` | FFN expansion |
+/// | `ffn_down`| `(H, 4H, 1)` | FFN contraction |
+///
+/// Only `score` and `context` depend on `L`, so per-token cost grows
+/// linearly in the KV length — exactly the autoregressive cost curve the
+/// decode-stream scenarios exercise. Every layer is stamped with
+/// `seq_position = kv_len` so two cache-length variants of the stack can
+/// never alias in a schedule memo even where their GEMM shapes coincide.
+///
+/// Unlike the fixed Table I networks, this model is *parameterized* and
+/// therefore not part of [`super::all_models`].
 ///
 /// # Panics
 ///

@@ -77,18 +77,22 @@ impl fmt::Display for WorkloadInstance {
 /// Build custom workloads with [`MultiDnnWorkload::new`] +
 /// [`MultiDnnWorkload::with_model`], or use the paper's Table II workloads
 /// ([`arvr_a`], [`arvr_b`], [`mlperf`]).
+///
+/// Clones share the name and the replica list, so a scenario that
+/// carries one workload per decode token or per tenant holds reference
+/// counts, not copies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultiDnnWorkload {
-    name: String,
-    instances: Vec<WorkloadInstance>,
+    name: Arc<str>,
+    instances: Arc<Vec<WorkloadInstance>>,
 }
 
 impl MultiDnnWorkload {
     /// Creates an empty workload.
     pub fn new(name: impl Into<String>) -> Self {
         Self {
-            name: name.into(),
-            instances: Vec::new(),
+            name: Arc::from(name.into()),
+            instances: Arc::new(Vec::new()),
         }
     }
 
@@ -101,8 +105,9 @@ impl MultiDnnWorkload {
     pub fn with_model(mut self, model: DnnModel, batches: usize) -> Self {
         assert!(batches > 0, "a model needs at least one batch");
         let shared = Arc::new(model);
+        let instances = Arc::make_mut(&mut self.instances);
         for replica in 0..batches {
-            self.instances.push(WorkloadInstance {
+            instances.push(WorkloadInstance {
                 model: Arc::clone(&shared),
                 replica,
             });
@@ -116,7 +121,7 @@ impl MultiDnnWorkload {
     /// ids.
     #[must_use]
     pub fn with_workload(mut self, other: &MultiDnnWorkload) -> Self {
-        self.instances.extend(other.instances.iter().cloned());
+        Arc::make_mut(&mut self.instances).extend(other.instances.iter().cloned());
         self
     }
 
@@ -153,7 +158,7 @@ impl MultiDnnWorkload {
         if self
             .instances
             .iter()
-            .zip(&other.instances)
+            .zip(other.instances.iter())
             .all(|(a, b)| a.replica == b.replica && Arc::ptr_eq(&a.model, &b.model))
         {
             return true;
@@ -165,7 +170,7 @@ impl MultiDnnWorkload {
     /// in first-appearance order (the Table II rows).
     pub fn model_mix(&self) -> Vec<(String, usize)> {
         let mut mix: Vec<(String, usize)> = Vec::new();
-        for inst in &self.instances {
+        for inst in self.instances.iter() {
             let name = inst.model.name().to_string();
             if let Some(entry) = mix.iter_mut().find(|(n, _)| *n == name) {
                 entry.1 += 1;

@@ -1,5 +1,6 @@
 //! The online-rescheduling equivalence suite: the incremental streaming
-//! path (per-stream dirty-tracked schedule memos, shared `EvalContext`)
+//! path (one engine-wide schedule table shared by every stream, shared
+//! `EvalContext`)
 //! must produce **bit-identical** simulations to the full-reschedule
 //! baseline that re-runs the scheduler at every frame arrival — on the
 //! rated AR/VR trace, the Fig. 13 workload-change trace, and a seeded
